@@ -2,11 +2,10 @@
 
 The campaign layer turns a figure/ablation specification into a list of
 self-contained :class:`CampaignCase` work units, dispatches them through a
-pluggable :class:`ExecutionBackend` (inline, local process pool, the
-file-based shard/worker/merge protocol, or the elastic pull-worker queue
-fleet), and persists every finished case
-as a content-addressed JSON artifact so interrupted or repeated campaigns
-skip completed work.  Per-case RNG seeds are derived from the case fields
+pluggable :class:`ExecutionBackend` (inline, local process pool, or the
+elastic pull-worker queue fleet over the file-based shard protocol), and
+persists every finished case as a content-addressed JSON artifact so
+interrupted or repeated campaigns skip completed work.  Per-case RNG seeds are derived from the case fields
 alone, so every backend — and a cache-warm replay — is bit-identical.
 """
 
@@ -42,12 +41,11 @@ from repro.campaign.queue import (
     WorkerReport,
     queue_worker,
 )
-from repro.campaign.runner import Campaign, CampaignStats, parallel_map
+from repro.campaign.runner import Campaign, CampaignStats
 from repro.campaign.shard import (
     MergeResult,
     PartialOverlapError,
     ShardAbort,
-    ShardBackend,
     ShardManifest,
     ShardPartial,
     merge_partials,
@@ -77,7 +75,6 @@ __all__ = [
     "QueueConfig",
     "SerialBackend",
     "ShardAbort",
-    "ShardBackend",
     "ShardManifest",
     "ShardPartial",
     "SuiteAggregate",
@@ -90,7 +87,6 @@ __all__ = [
     "expand_suite",
     "get_backend",
     "merge_partials",
-    "parallel_map",
     "partition_cases",
     "queue_worker",
     "run_shard",

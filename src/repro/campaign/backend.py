@@ -31,11 +31,11 @@ Implementations here:
   ship back the canonical result JSON, so only small payloads cross the
   process boundary.
 
-:class:`~repro.campaign.shard.ShardBackend` (file-based shard/worker/merge
-protocol, the multi-machine pattern run locally) lives in
-:mod:`repro.campaign.shard` and satisfies the same protocol.  Future
-scale-out directions — job queues, remote worker fleets — are new
-implementations of this protocol, not runner rewrites.
+:class:`~repro.campaign.queue.QueueBackend` (the file-based work queue:
+shard manifests pulled by an elastic worker fleet, the multi-machine
+pattern run locally) lives in :mod:`repro.campaign.queue` and satisfies
+the same protocol.  Remote worker fleets are new implementations of this
+protocol, not runner rewrites.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 #: Backend specifiers understood by :func:`get_backend` (and the CLI).
-BACKEND_NAMES = ("serial", "process", "shard", "queue")
+BACKEND_NAMES = ("serial", "process", "queue")
 
 
 def _run_case_payload(case_dict: dict[str, Any]) -> str:
@@ -79,43 +79,10 @@ def _run_case_payload(case_dict: dict[str, Any]) -> str:
     caches it; because the payload layout and float encoding are
     canonical, those bytes equal the worker's exactly (the cross-backend
     artifact byte-identity the test suite and CI assert).  This is the
-    single wire format shared by every remote-dispatch backend (process
-    pool, shard workers).
+    wire format the process pool ships across the process boundary.
     """
     case = CampaignCase.from_dict(case_dict)
     return case_result_to_json(case.run())
-
-
-def _drain_pool(pool: ProcessPoolExecutor, futures: dict) -> Iterator[tuple]:
-    """Yield ``(tag, result)`` pairs from a future → tag map as they finish.
-
-    The shared dispatch-drain-cancel core of every pool-based backend:
-
-    * a failed future's batch-mates that already succeeded are yielded
-      *before* the failure propagates, so a caching consumer persists
-      them and a ``--resume`` re-run does not redo them;
-    * on any raise — including ``GeneratorExit`` from an abandoned
-      consumer and ``KeyboardInterrupt`` — the queued futures are
-      cancelled instead of drained; everything already yielded stays
-      yielded.
-    """
-    try:
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            failure: BaseException | None = None
-            for fut in done:
-                error = fut.exception()
-                if error is not None:
-                    failure = failure or error
-                    continue
-                yield futures[fut], fut.result()
-            if failure is not None:
-                raise failure
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown()
 
 
 @runtime_checkable
@@ -225,12 +192,26 @@ class ProcessPoolBackend:
             pool.submit(_run_case_payload, case.to_dict()): (index, case)
             for index, case in pending
         }
-        drain = _drain_pool(pool, futures)
         try:
-            for (index, case), payload in drain:
-                yield index, case, case_result_from_json(payload)
-        finally:
-            drain.close()
+            not_done = set(futures)
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                failure: BaseException | None = None
+                for fut in done:
+                    error = fut.exception()
+                    if error is not None:
+                        failure = failure or error
+                        continue
+                    index, case = futures[fut]
+                    yield index, case, case_result_from_json(fut.result())
+                if failure is not None:
+                    raise failure
+        except BaseException:
+            # Failure, abandoned consumer (GeneratorExit) or Ctrl-C:
+            # cancel the queued futures instead of draining them.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Order-preserving map, inline or across a process pool.
@@ -258,11 +239,11 @@ def get_backend(
     serial for ``jobs <= 1``, a process pool otherwise (which is what
     keeps every old ``jobs=`` call site working unchanged).
 
-    ``shards`` sizes the shard and queue backends' partitions (default:
-    ``jobs`` when > 1, else 2).  ``queue_dir`` (a path) and
-    ``queue_config`` (a :class:`repro.campaign.queue.QueueConfig`) apply
-    only to the queue backend: a persistent queue directory enables
-    shard-level resume and external workers joining the fleet.
+    ``shards``, ``queue_dir`` (a path) and ``queue_config`` (a
+    :class:`repro.campaign.queue.QueueConfig`) apply only to the queue
+    backend: ``shards`` sizes its partition (default: ``jobs`` when > 1,
+    else 2), and a persistent queue directory enables shard-level resume
+    and external workers joining the fleet.
     """
     if spec is None:
         return SerialBackend() if jobs <= 1 else ProcessPoolBackend(jobs)
@@ -274,13 +255,8 @@ def get_backend(
         # An explicit jobs value is respected, including jobs=1 (a pool
         # of one runs its batch inline — same results, no pickling).
         return ProcessPoolBackend(jobs)
-    if spec == "shard":
-        # Imported lazily: shard.py builds on this module.
-        from repro.campaign.shard import ShardBackend
-
-        return ShardBackend(n_shards=shards or max(jobs, 2), jobs=jobs)
     if spec == "queue":
-        # Imported lazily: queue.py builds on this module too.
+        # Imported lazily: queue.py builds on this module.
         from repro.campaign.queue import QueueBackend
 
         return QueueBackend(

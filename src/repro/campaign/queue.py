@@ -1,12 +1,15 @@
 """Queue-backed elastic campaign fleet: pull workers, leases, requeue.
 
-:class:`~repro.campaign.shard.ShardBackend` hands each worker a *fixed*
-manifest, so one dead worker stalls the whole suite.  This module inverts
-the dispatch: shards become task records on a shared **work queue** and
-workers *pull* — an elastic fleet where members can join, crash, or be
-replaced at any time while the suite still completes, and still produces
-the byte-identical :class:`~repro.campaign.aggregate.SuiteAggregate` and
-artifact set of a single-process run.
+The one sharded execution path.  The suite is partitioned into
+:class:`~repro.campaign.shard.ShardManifest` files (the
+:func:`~repro.campaign.shard.partition_cases` hash rule), those become
+task records on a shared **work queue**, and workers *pull* them — an
+elastic fleet where members can join, crash, or be replaced at any time
+while the suite still completes, and still produces the byte-identical
+:class:`~repro.campaign.aggregate.SuiteAggregate` and artifact set of a
+single-process run.  Each finished shard lands as a
+:class:`~repro.campaign.shard.ShardPartial`, which ``campaign merge``
+folds exactly like the coordinator does.
 
 The queue is a directory (the protocol needs only atomic rename and
 exclusive create, so a Redis/SQS implementation can adopt the same state
@@ -1270,12 +1273,12 @@ class QueueBackend:
         )
         return env
 
-    def _credit_partial(self, partial: ShardPartial) -> None:
+    def _credit(self, computed: int, cached: int) -> None:
         """Surface worker-side computes/hits into the campaign's stats."""
-        self.worker_cached += partial.cached
+        self.worker_cached += cached
         if self._cache is not None:
-            self._cache.stats.stores += partial.computed
-            self._cache.stats.hits += partial.cached
+            self._cache.stats.stores += computed
+            self._cache.stats.hits += cached
 
     # -- the coordinator ----------------------------------------------- #
 
@@ -1298,6 +1301,10 @@ class QueueBackend:
                 for m in partition_cases(pending, self.n_shards)
                 if m.cases
             }
+            # Partials that landed before this run's enqueue (a repeat
+            # run over a persistent queue dir) are replays: nothing of
+            # theirs is computed now, whatever their recorded counts say.
+            replayed = {t for t in manifests if queue.has_partial(t)}
             queue.enqueue(manifests.values())
             cache = ArtifactCache(cache_root)
 
@@ -1321,9 +1328,11 @@ class QueueBackend:
                 for task_id in sorted(manifests):
                     if task_id in yielded or not queue.has_partial(task_id):
                         continue
-                    self._credit_partial(
-                        ShardPartial.read(queue.partial_path(task_id))
-                    )
+                    if task_id in replayed:
+                        self._credit(0, len(manifests[task_id].cases))
+                    else:
+                        partial = ShardPartial.read(queue.partial_path(task_id))
+                        self._credit(partial.computed, partial.cached)
                     yielded.add(task_id)
                     yield from results_of(manifests[task_id])
 

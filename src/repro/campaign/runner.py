@@ -4,14 +4,14 @@ A :class:`Campaign` is a list of independent :class:`CampaignCase` work
 units plus an execution policy: an artifact cache (skip completed cases,
 persist finished ones) and an :class:`ExecutionBackend` deciding *where*
 the pending cases run — inline, across a local process pool, or through
-the file-based shard/worker/merge protocol.  Because every case derives
-its RNG stream from its *own* fields (not from execution order), results
-are bit-identical across
+the file-based work queue's pull-worker fleet.  Because every case
+derives its RNG stream from its *own* fields (not from execution order),
+results are bit-identical across
 
 * ``SerialBackend`` (inline, no pool),
 * ``ProcessPoolBackend`` (``ProcessPoolExecutor`` fan-out, any completion
   order),
-* ``ShardBackend`` (subprocess shard workers + merge), and
+* ``QueueBackend`` (queue workers + per-shard partials), and
 * a cache-warm re-run (artifacts only, nothing recomputed),
 
 which the determinism test suite asserts panel-for-panel.  Every computed
@@ -22,9 +22,8 @@ regardless of backend.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from repro.campaign.backend import (
     ExecutionBackend,
@@ -35,10 +34,7 @@ from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
 
-__all__ = ["Campaign", "CampaignStats", "parallel_map"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["Campaign", "CampaignStats"]
 
 
 @dataclass
@@ -156,7 +152,7 @@ class Campaign:
         # The campaign's hit/miss counters are deltas of the attached
         # cache's own CacheStats over this run, so they stay truthful for
         # every policy: force=True does no lookups (0/0), and backends
-        # that load/store cache-side (shard workers) credit their counts
+        # that load/store cache-side (queue workers) credit their counts
         # through the same CacheStats object.
         hits_before = self.cache.stats.hits if self.cache is not None else 0
         misses_before = self.cache.stats.misses if self.cache is not None else 0
@@ -186,7 +182,7 @@ class Campaign:
             return
         backend.submit(pending)
         # Backends that write artifacts straight into the attached cache
-        # (the shard workers do) declare it, so the byte-identical
+        # (the queue workers do) declare it, so the byte-identical
         # re-store is skipped instead of rewriting every file.
         store = self.cache is not None and not getattr(
             backend, "persists_results", False
@@ -199,7 +195,7 @@ class Campaign:
                     self.cache.store(case, result)
                 self.stats.computed += 1
                 # A backend may serve part of its batch from a cache of
-                # its own (shard workers against a persistent work dir);
+                # its own (queue workers replaying landed partials);
                 # reclassify those results from "computed" to "cached".
                 shift = min(
                     getattr(backend, "worker_cached", 0) - reclassified,
@@ -224,22 +220,3 @@ class Campaign:
             self.stats.poisoned = getattr(backend, "poisoned", 0)
             self.stats.respawned = getattr(backend, "respawned", 0)
 
-
-def parallel_map(
-    fn: Callable[[_T], _R], items: Iterable[_T], jobs: int = 1
-) -> list[_R]:
-    """Deprecated order-preserving map, inline or across a process pool.
-
-    .. deprecated::
-        Use :meth:`repro.campaign.backend.ProcessPoolBackend.map` (or any
-        :class:`~repro.campaign.backend.ExecutionBackend`'s ``map``) —
-        this shim forwards there so there is a single pool-dispatch code
-        path, and will be removed once no caller remains.
-    """
-    warnings.warn(
-        "parallel_map() is deprecated; use "
-        "repro.campaign.backend.ProcessPoolBackend(jobs).map(fn, items)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ProcessPoolBackend(max(jobs, 1)).map(fn, items)

@@ -59,30 +59,21 @@ completed cases), and never computes anything.
 
 Execution backends
 ------------------
-``--backend {serial,process,shard,queue}`` selects where campaign cases
-run (default: serial for ``--jobs 1``, a local process pool otherwise).
-The ``shard`` backend rehearses the multi-machine protocol locally:
-``--shards N`` shard files, each executed by a subprocess worker.  The
-``queue`` backend runs the elastic pull-worker fleet (see below).
-
-The protocol itself is driven by the ``campaign`` command group — the
-multi-machine path, where each step can run on a different host against a
-shared (or per-host, later-merged) cache directory::
-
-    repro-experiments campaign shard --scale paper --shards 4 --out-dir shards/
-    repro-experiments campaign worker shards/shard-000-of-004.json --cache-dir cache/
-    ... (one worker invocation per shard, anywhere)
-    repro-experiments campaign merge shards/partial-*.json
+``--backend {serial,process,queue}`` selects where campaign cases run
+(default: serial for ``--jobs 1``, a local process pool otherwise).  The
+``queue`` backend runs the elastic pull-worker fleet (see below) over
+``--shards N`` shard files.
 
 ``campaign verify-cache --cache-dir DIR`` audits a cache directory for
 corrupt, orphaned or half-written artifacts without recomputing anything.
 
 The elastic queue fleet
 -----------------------
-Where ``campaign worker`` executes one *fixed* manifest, the queue path
-lets any number of workers **pull** shards from a shared queue directory —
-workers may join late, crash, or be replaced, and the suite still
-completes with byte-identical results::
+The multi-machine path: any number of workers **pull** shards from a
+shared queue directory — workers may join late, crash, or be replaced,
+and the suite still completes with byte-identical results.  Each step can
+run on a different host against a shared (or per-host, later-merged)
+cache directory::
 
     repro-experiments campaign queue-init work/queue --scale paper --shards 8
     repro-experiments campaign queue-worker work/queue --cache-dir cache/   # × N hosts
@@ -90,11 +81,12 @@ completes with byte-identical results::
     repro-experiments campaign merge work/queue/partials/partial-*.json
 
 Workers claim shards atomically (``O_EXCL`` claim files), heartbeat while
-running, and emit the same partials as ``campaign worker``; stale claims
-are requeued with bounded retries (then poisoned and reported).  The
-one-shot form ``fig6 --backend queue --jobs N --queue-dir DIR`` drives
-the whole fleet from one coordinator process (``--queue-lease`` /
-``--queue-max-attempts`` tune the reaper).
+running, and land one partial per shard; stale claims are requeued with
+bounded retries (then poisoned and reported).  ``--no-wait`` makes a
+worker exit once nothing is claimable instead of waiting for the queue to
+complete.  The one-shot form ``fig6 --backend queue --jobs N --queue-dir
+DIR`` drives the whole fleet from one coordinator process
+(``--queue-lease`` / ``--queue-max-attempts`` tune the reaper).
 
 SIGTERM/SIGINT ask a ``queue-worker`` to drain gracefully: it finishes —
 or, mid-shard, releases — its current claim and exits with code 3 when
@@ -147,7 +139,6 @@ from typing import Callable
 from repro.campaign import (
     ArtifactCache,
     BACKEND_NAMES,
-    ShardManifest,
     ShardPartial,
     expand_suite,
     get_backend,
@@ -215,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=[*runners.keys(), "aggregate", "all"],
         help="figure to reproduce, 'aggregate' (summarize a cache), or "
         "'all'; see also the 'campaign' command group "
-        "(shard/worker/merge/verify-cache) and 'serve' (the HTTP query "
-        "service)",
+        "(queue-init/queue-worker/merge/verify-cache) and 'serve' (the "
+        "HTTP query service)",
     )
     parser.add_argument(
         "--scale",
@@ -243,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="shard count for --backend shard/queue (default: --jobs, min 2)",
+        help="shard count for --backend queue (default: --jobs, min 2)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -325,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be ≥ 1")
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be ≥ 1")
-    if args.shards is not None and args.backend not in ("shard", "queue"):
-        parser.error("--shards only applies to --backend shard/queue")
+    if args.shards is not None and args.backend != "queue":
+        parser.error("--shards only applies to --backend queue")
     queue_knobs = (args.queue_dir, args.queue_lease, args.queue_max_attempts)
     if any(k is not None for k in queue_knobs) and args.backend != "queue":
         parser.error("--queue-* options only apply to --backend queue")
@@ -429,53 +420,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# the `campaign` command group: shard / worker / merge / verify-cache
-# plus the queue fleet: queue-init / queue-worker / queue-status
+# the `campaign` command group: the queue fleet (queue-init /
+# queue-worker / queue-status), merge, sweep and verify-cache
 # ---------------------------------------------------------------------- #
 
 
 def _campaign_main(argv: list[str]) -> int:
-    """The ``campaign`` command group: shard/worker/merge + queue fleet."""
+    """The ``campaign`` command group: queue fleet, merge, sweep, audit."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments campaign",
         description="Shard a campaign across workers/machines and merge "
         "the partial aggregates (bit-identical to a single-process run).",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_shard = sub.add_parser(
-        "shard", help="partition the fig6 suite into N shard files"
-    )
-    p_shard.add_argument(
-        "--scale", default=None, choices=["quick", "default", "paper"]
-    )
-    p_shard.add_argument("--seed", type=int, default=20070913)
-    p_shard.add_argument("--shards", type=int, default=2, metavar="N")
-    p_shard.add_argument(
-        "--out-dir", type=pathlib.Path, required=True, metavar="DIR"
-    )
-    p_shard.add_argument(
-        "--fast-conv",
-        action="store_true",
-        help="shard the fast-precision-policy variant of the suite",
-    )
-
-    p_worker = sub.add_parser(
-        "worker", help="execute one shard file against a cache directory"
-    )
-    p_worker.add_argument("manifest", type=pathlib.Path)
-    p_worker.add_argument(
-        "--cache-dir", type=pathlib.Path, required=True, metavar="DIR"
-    )
-    p_worker.add_argument("--jobs", type=int, default=1, metavar="N")
-    p_worker.add_argument("--force", action="store_true")
-    p_worker.add_argument(
-        "--partial",
-        type=pathlib.Path,
-        default=None,
-        metavar="OUT",
-        help="partial output path (default: alongside the manifest)",
-    )
 
     p_merge = sub.add_parser(
         "merge", help="fold shard partials into the suite aggregate"
@@ -647,46 +604,6 @@ def _campaign_main(argv: list[str]) -> int:
     )
 
     args = parser.parse_args(argv)
-
-    if args.cmd == "shard":
-        if args.shards < 1:
-            parser.error("--shards must be ≥ 1")
-        scale = get_scale(args.scale)
-        cases = expand_suite(
-            default_suite(), scale, base_seed=args.seed,
-            fast_conv=args.fast_conv,
-        )
-        manifests = partition_cases(list(enumerate(cases)), args.shards)
-        for manifest in manifests:
-            path = manifest.write(args.out_dir)
-            print(f"[wrote {path}: {len(manifest.cases)} cases]")
-        print(
-            f"[suite {manifests[0].suite_key[:12]}…: {len(cases)} cases "
-            f"(scale={scale.name}, seed={args.seed}) across "
-            f"{args.shards} shards]"
-        )
-        return 0
-
-    if args.cmd == "worker":
-        try:
-            manifest = ShardManifest.read(args.manifest)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            parser.error(f"cannot read shard manifest {args.manifest}: {exc}")
-        partial = run_shard(
-            manifest, args.cache_dir, jobs=args.jobs, force=args.force
-        )
-        if args.partial is not None:
-            args.partial.parent.mkdir(parents=True, exist_ok=True)
-            args.partial.write_text(canonical_json(partial.to_payload()))
-            path = args.partial
-        else:
-            path = partial.write(args.manifest.parent)
-        print(
-            f"[shard {manifest.shard_index}/{manifest.n_shards}: "
-            f"{len(manifest.cases)} cases, {partial.computed} computed, "
-            f"{partial.cached} cached → {path}]"
-        )
-        return 0
 
     if args.cmd == "merge":
         try:

@@ -1,4 +1,4 @@
-"""The ExecutionBackend protocol: resolution, equivalence, deprecation."""
+"""The ExecutionBackend protocol: resolution, equivalence, map."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from repro.campaign import (
     CampaignCase,
     ExecutionBackend,
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
-    ShardBackend,
     get_backend,
-    parallel_map,
 )
 from repro.experiments.cases import CaseSpec
 
@@ -39,9 +38,9 @@ class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("process", jobs=4), ProcessPoolBackend)
-        shard = get_backend("shard", jobs=3, shards=5)
-        assert isinstance(shard, ShardBackend)
-        assert shard.n_shards == 5 and shard.workers == 3
+        queue = get_backend("queue", jobs=3, shards=5)
+        assert isinstance(queue, QueueBackend)
+        assert queue.n_shards == 5 and queue.workers == 3
 
     def test_explicit_jobs_respected_even_for_process(self):
         # --backend process --jobs 1 means one worker (inline batch),
@@ -57,7 +56,7 @@ class TestGetBackend:
             get_backend("carrier-pigeon")
 
     def test_all_backends_satisfy_the_protocol(self):
-        for backend in (SerialBackend(), ProcessPoolBackend(2), ShardBackend(2)):
+        for backend in (SerialBackend(), ProcessPoolBackend(2), QueueBackend(2)):
             assert isinstance(backend, ExecutionBackend)
             assert backend.workers >= 1
             assert backend.name
@@ -74,9 +73,9 @@ class TestBackendEquivalence:
         "backend_factory",
         [
             lambda: ProcessPoolBackend(2),
-            lambda: ShardBackend(n_shards=2, jobs=2),
+            lambda: QueueBackend(n_shards=2, jobs=2),
         ],
-        ids=["process", "shard"],
+        ids=["process", "queue"],
     )
     def test_bit_identical_to_serial(self, reference, backend_factory):
         results = Campaign(_cases(), backend=backend_factory()).run()
@@ -133,16 +132,19 @@ class TestBackendMap:
         expect = [str(i) for i in items]
         assert SerialBackend().map(str, items) == expect
         assert ProcessPoolBackend(3).map(str, items) == expect
-        assert ShardBackend(2, jobs=2).map(str, items) == expect
+        assert QueueBackend(2, jobs=2).map(str, items) == expect
 
     def test_map_empty(self):
         assert ProcessPoolBackend(4).map(str, []) == []
 
-    def test_parallel_map_is_a_deprecated_shim(self):
-        items = list(range(5))
-        with pytest.deprecated_call(match="parallel_map"):
-            out = parallel_map(str, items, jobs=2)
-        assert out == [str(i) for i in items]
+    def test_single_worker_pool_maps_inline_in_order(self):
+        # jobs=1 never spins up a pool: an unpicklable callable works,
+        # and the order is the input order.
+        items = list(range(7))
+        double = lambda x: 2 * x  # noqa: E731 - deliberately unpicklable
+        assert ProcessPoolBackend(1).map(double, items) == [
+            2 * i for i in items
+        ]
 
     def test_fig9_accepts_a_backend(self):
         from repro.experiments import fig9_slack_quadrants

@@ -449,6 +449,76 @@ class TestQueueBackend:
         with pytest.raises(ValueError, match="n_shards"):
             QueueBackend(n_shards=0)
 
+    def test_workers_persist_directly_and_parent_does_not_restore(
+        self, tmp_path, monkeypatch
+    ):
+        cases = [c for _, c in _indexed_cases()[:2]]
+        cache = ArtifactCache(tmp_path / "cache")
+        parent_stores = []
+        monkeypatch.setattr(
+            cache, "store", lambda case, result: parent_stores.append(case)
+        )
+        campaign = Campaign(
+            cases,
+            cache=cache,
+            backend=QueueBackend(n_shards=2, jobs=1, config=FAST),
+        )
+        results = campaign.run()
+        assert len(results) == len(cases)
+        # Artifacts exist (the workers wrote them into the shared cache)
+        # without the parent re-storing them...
+        assert parent_stores == []
+        assert sorted(p.name for p in cache.root.glob("*.json")) == sorted(
+            c.artifact_name for c in cases
+        )
+        # ...and the worker-side stores are credited to the cache stats,
+        # so campaign/CLI reporting stays truthful.
+        assert cache.stats.stores == len(cases)
+        assert campaign.stats.computed == len(cases)
+        # ... and a warm re-run loads them.
+        warm = Campaign(cases, cache=cache)
+        warm.run()
+        assert warm.stats.cached == len(cases)
+        assert warm.stats.cache_hits == len(cases)
+
+    def test_persistent_queue_dir_repeat_run_reports_cached(self, tmp_path):
+        # No campaign cache, but a persistent queue dir: the second run is
+        # served entirely by the partials that already landed and must
+        # NOT be reported as computed.
+        cases = [c for _, c in _indexed_cases()[:2]]
+        queue_dir = tmp_path / "q"
+
+        def backend():
+            return QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
+
+        cold = Campaign(cases, backend=backend())
+        cold.run()
+        assert cold.stats.computed == len(cases) and cold.stats.cached == 0
+        warm = Campaign(cases, backend=backend())
+        warm.run()
+        assert warm.stats.computed == 0
+        assert warm.stats.cached == len(cases)
+
+    def test_replayed_partials_credit_cache_hits_not_stores(self, tmp_path):
+        # Driven through the backend directly, so the campaign's own cache
+        # probe does not filter the cases out: every shard's partial is
+        # already on disk, so the run stores nothing and hits every case.
+        cases = [c for _, c in _indexed_cases()[:2]]
+        queue_dir = tmp_path / "q"
+        Campaign(
+            cases,
+            cache=ArtifactCache(tmp_path / "cache"),
+            backend=QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST),
+        ).run()
+        cache = ArtifactCache(tmp_path / "cache")
+        backend = QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
+        backend.configure(cache, False)
+        backend.submit(list(enumerate(cases)))
+        replayed = list(backend.as_completed())
+        assert sorted(i for i, _, _ in replayed) == list(range(len(cases)))
+        assert (cache.stats.stores, cache.stats.hits) == (0, len(cases))
+        assert backend.worker_cached == len(cases)
+
 
 def _payload(aggregate):
     from repro.campaign import suite_aggregate_to_payload

@@ -5,6 +5,8 @@ import pytest
 from repro.campaign import CampaignCase
 from repro.experiments.cli import main
 
+from tests.campaign.faultlib import fault_env, spawn_worker, wait_all
+
 
 class TestCli:
     def test_fig7_runs(self, capsys):
@@ -155,7 +157,7 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             main(["fig3", "--shards", "2"])
         with pytest.raises(SystemExit):
-            main(["fig3", "--backend", "shard", "--shards", "0"])
+            main(["fig3", "--backend", "queue", "--shards", "0"])
 
     def test_fig9_accepts_backend(self, capsys):
         assert main(["fig9", "--backend", "serial"]) == 0
@@ -163,7 +165,7 @@ class TestBackendFlag:
 
 
 class TestCampaignSubcommands:
-    """The shard/worker/merge/verify-cache protocol driven from the CLI."""
+    """The queue-init/queue-worker/merge/verify-cache path from the CLI."""
 
     @staticmethod
     def _mini_suite(monkeypatch):
@@ -178,35 +180,36 @@ class TestCampaignSubcommands:
         monkeypatch.setattr(fig6_aggregate, "default_suite", suite)
         monkeypatch.setattr(cli_mod, "default_suite", suite)
 
-    def _shard_worker_merge(self, tmp_path, capsys):
-        shards = tmp_path / "shards"
+    def _queue_worker_merge(self, tmp_path, capsys):
+        queue = tmp_path / "queue"
         cache = tmp_path / "shard-cache"
         assert main(
-            ["campaign", "shard", "--scale", "quick", "--shards", "2",
-             "--out-dir", str(shards)]
+            ["campaign", "queue-init", str(queue), "--scale", "quick",
+             "--shards", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "2 cases" in out and "across 2 shards" in out
-        for k in (0, 1):
-            assert main(
-                ["campaign", "worker", str(shards / f"shard-{k:03d}-of-002.json"),
-                 "--cache-dir", str(cache)]
-            ) == 0
-        capsys.readouterr()
+        assert "2 cases" in out and "0 already done" in out
+        # A real worker process: the CLI arms SIGTERM/SIGINT drain
+        # handlers, which must not be installed into the test process.
+        worker = spawn_worker(queue, cache, "w0", env=fault_env(), no_wait=True)
+        [log] = wait_all([worker])
+        assert worker.returncode == 0, log
+        assert "failed=0" in log and "0 open, 0 poisoned" in log
+        partials = sorted((queue / "partials").glob("partial-*-of-002.json"))
+        assert partials
         merged_json = tmp_path / "merged.json"
         assert main(
-            ["campaign", "merge",
-             str(shards / "partial-000-of-002.json"),
-             str(shards / "partial-001-of-002.json"),
+            ["campaign", "merge", *map(str, partials),
              "--json", str(merged_json)]
         ) == 0
         return merged_json, capsys.readouterr().out
 
-    def test_shard_worker_merge_round_trip(self, capsys, tmp_path, monkeypatch):
+    def test_queue_worker_merge_round_trip(self, capsys, tmp_path, monkeypatch):
         self._mini_suite(monkeypatch)
-        merged_json, out = self._shard_worker_merge(tmp_path, capsys)
+        merged_json, out = self._queue_worker_merge(tmp_path, capsys)
         assert "Merged aggregate" in out
         assert "§VII" in out
+        assert "2/2 cases" in out
         assert merged_json.exists()
 
     def test_merge_bit_identical_to_fig6_json(self, capsys, tmp_path, monkeypatch):
@@ -217,9 +220,9 @@ class TestCampaignSubcommands:
              "--json", str(single_json)]
         ) == 0
         capsys.readouterr()
-        merged_json, _ = self._shard_worker_merge(tmp_path, capsys)
+        merged_json, _ = self._queue_worker_merge(tmp_path, capsys)
         assert single_json.read_bytes() == merged_json.read_bytes()
-        # The shard workers' artifacts are byte-identical to the
+        # The queue worker's artifacts are byte-identical to the
         # single-process campaign's.
         files_a = sorted((tmp_path / "a").iterdir())
         files_b = sorted((tmp_path / "shard-cache").iterdir())
@@ -227,11 +230,47 @@ class TestCampaignSubcommands:
         for a, b in zip(files_a, files_b):
             assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_rejects_bad_manifest(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+    def test_queue_init_partitions_by_the_shard_rule(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.campaign import WorkQueue, expand_suite, partition_cases
+        from repro.experiments import cli as cli_mod
+        from repro.experiments.scale import get_scale
+
+        self._mini_suite(monkeypatch)
+        queue_dir = tmp_path / "queue"
+        assert main(
+            ["campaign", "queue-init", str(queue_dir), "--scale", "quick",
+             "--shards", "3", "--seed", "5"]
+        ) == 0
+        capsys.readouterr()
+        cases = expand_suite(
+            cli_mod.default_suite(), get_scale("quick"), base_seed=5
+        )
+        expected = [
+            m for m in partition_cases(list(enumerate(cases)), 3) if m.cases
+        ]
+        queue = WorkQueue(queue_dir)
+        got = [queue.manifest(t) for t in queue.task_ids()]
+        assert [m.to_payload() for m in got] == [
+            m.to_payload() for m in expected
+        ]
+
+    def test_queue_init_rejects_a_foreign_suite(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        self._mini_suite(monkeypatch)
+        queue_dir = tmp_path / "queue"
+        assert main(
+            ["campaign", "queue-init", str(queue_dir), "--scale", "quick"]
+        ) == 0
+        capsys.readouterr()
         with pytest.raises(SystemExit):
-            main(["campaign", "worker", str(bad), "--cache-dir", str(tmp_path)])
+            main(
+                ["campaign", "queue-init", str(queue_dir), "--scale",
+                 "quick", "--seed", "1"]
+            )
+        assert "already holds suite" in capsys.readouterr().err
 
     def test_merge_rejects_foreign_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

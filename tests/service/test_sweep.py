@@ -33,6 +33,7 @@ from repro.service import (
     RobustnessService,
     ServiceConfig,
     SweepStream,
+    case_from_query,
 )
 from tests.campaign.faultlib import fault_env, fired_markers, spawn_worker
 from tests.caseset.test_algebra import MALFORMED
@@ -352,7 +353,7 @@ class TestSweepAdmission:
     def test_a_sweep_counts_as_its_expanded_size(self, tmp_path):
         """While a 4-case sweep is open, a 4-slot gate sheds point queries."""
         cs = caseset()
-        warm_cache(tmp_path, cs.cases())
+        warm_cache(tmp_path, [*cs.cases(), case_from_query(HIT)])
         config = _config(
             tmp_path,
             admission=AdmissionConfig(
@@ -368,8 +369,9 @@ class TestSweepAdmission:
         assert body["error"] == "shed"
         stream.close()
         assert service.gate.snapshot()["inflight"] == 0
-        hit_status, _, _ = service.handle_case(HIT)
-        assert hit_status in (200, 504)  # gate admits again
+        hit_status, _, body = service.handle_case(HIT)
+        assert hit_status == 200  # gate admits again
+        assert body["source"] == "hit"
         assert service.gate.snapshot()["inflight_hwm"] == 4
 
     def test_sweep_weight_clamps_to_the_gate_size(self, tmp_path):
