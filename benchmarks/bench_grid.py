@@ -23,6 +23,11 @@ Those pairs are *not* bit-identical (the caps bound the intermediate
 grids); the measured error is asserted in
 ``tests/analysis/test_fast_conv.py``, and the floor here is the ≥3×
 end-to-end target.
+
+The ``classical_makespan_shared_engine`` row walks one engine over a
+random-schedule panel (as a fig-6 case does) and records the bytes its
+resample memo retains (``resample_bytes``); the bench and the CI smoke
+bound it at 16 MiB.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from repro.analysis.classical import classical_makespan
 from repro.analysis.dodin import dodin_makespan
 from repro.platform import cholesky_workload, ge_workload, random_workload
 from repro.schedule import heft
+from repro.schedule.random_schedule import random_schedule
 from repro.stochastic import StochasticModel
+from repro.stochastic.batch import BatchedGridEngine
 
 
 def best_of(fn, reps: int) -> float:
@@ -129,6 +136,32 @@ class TestDodinMakespan:
         # data-dependent), so its floor sits below the classical one.
         dodin_floor = min(floor, 1.4) if floor >= 2.0 else 1.0
         assert ratio >= (dodin_floor / 2.0 if bench_quick else dodin_floor)
+
+
+class TestSharedEnginePanel:
+    """One engine walked over a random-schedule panel, as ``evaluate_case``
+    does: per-schedule wall time plus the bytes the resample memo retains
+    (interned duration operands only, so it must not grow per schedule)."""
+
+    def test_shared_engine_panel(self, record_bench, bench_quick, model):
+        w = random_workload(100, 8, rng=3)
+        panel = [random_schedule(w, rng=r) for r in range(4)]
+        engine = [BatchedGridEngine(model)]
+
+        def walk() -> None:
+            engine[0] = BatchedGridEngine(model)
+            for s in panel:
+                classical_makespan(s, model, engine=engine[0])
+
+        wall = best_of(walk, 1 if bench_quick else 3)
+        resample_bytes = engine[0].stats["resample_bytes"]
+        record_bench(
+            op="classical_makespan_shared_engine",
+            shape="random_n100_m8_x4",
+            ns_per_op=wall / len(panel) * 1e9,
+            resample_bytes=resample_bytes,
+        )
+        assert resample_bytes < 16 * 2**20
 
 
 class TestFastConv:

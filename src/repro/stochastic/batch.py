@@ -20,8 +20,10 @@ operation costs a dozen numpy calls plus object/validation overhead.
   interpolations folded with one running product, one row-batched
   gradient, and batched trim/refit/atom accounting;
 * ``model.rv(duration)`` results are **interned** per engine (durations
-  repeat heavily across tasks and edges), common-step operand resamples
-  are memoized, and sum/max results are memoized by operand *value*: every
+  repeat heavily across tasks and edges), common-step resamples of those
+  interned operands are memoized (the only resamples that recur: a walk's
+  accumulated sums and maxima are resampled once and dropped), and sum/max
+  results are memoized by operand *value*: every
   operand is first mapped to a content-keyed value id (support endpoints,
   length, atom and the raw density bytes), so two distinct objects holding
   equal arrays — e.g. the same sub-expression reached through two
@@ -250,10 +252,13 @@ class BatchedGridEngine:
         #: Whether the fast precision policy is active (``model.fast_conv``).
         self.fast_conv = bool(getattr(model, "fast_conv", False))
         self._rv_pool: dict[float, NumericRV] = {}
+        # id()s of the interned duration RVs (kept alive by ``_rv_pool``).
+        self._rv_ids: set[int] = set()
         self._point_pool: dict[float, NumericRV] = {}
         self._add_memo: dict[tuple[int, int], tuple] = {}
         self._max_memo: dict[tuple[int, ...], tuple] = {}
-        self._resample_memo: dict[tuple[int, float, int], tuple] = {}
+        self._resample_memo: dict[tuple[int, float, int], np.ndarray] = {}
+        self._resample_bytes = 0
         # Value interning: content signature → value id, with a per-object
         # id cache (operands are kept alive so ids stay valid).
         self._value_ids: dict[int, int] = {}
@@ -306,6 +311,7 @@ class BatchedGridEngine:
         if rv is None:
             rv = self.model.rv(w)
             self._rv_pool[w] = rv
+            self._rv_ids.add(id(rv))
         return rv
 
     def point(self, x: float) -> NumericRV:
@@ -358,21 +364,29 @@ class BatchedGridEngine:
         return results  # type: ignore[return-value]
 
     def _operand_grid(self, rv: NumericRV, dx: float, n: int) -> np.ndarray:
-        """Operand density resampled onto its ``arange`` conv grid (memoized).
+        """Operand density resampled onto its ``arange`` conv grid.
 
         The common-step grid depends only on (operand, dx, n), and narrow
         duration/communication RVs impose their fine step on every partner —
-        so the resample repeats across a walk and is worth caching.
+        so their resamples repeat across a walk and across the schedules of
+        a shared-engine panel.  Only operands interned by :meth:`rv` are
+        memoized: on the fig-6 ``rand100`` panel they served 37,533 of
+        46,797 requests from ~8 MiB, while resamples of accumulated sums and
+        maxima hit 4 times in 45,531 requests yet retained ~2.6 GiB.  Every
+        call still looks the memo up (equal content shares a vid), and a
+        hit returns the array a miss would compute.
         """
         key = (self._vid(rv), dx, n)
-        hit = self._resample_memo.get(key)
-        if hit is not None:
-            return hit[1]
+        y = self._resample_memo.get(key)
+        if y is not None:
+            return y
         grid = rv.xs[0] + dx * np.arange(n)
         y = _rescue_lost_operand(
             rv.xs, rv.pdf, grid, resample_pdf(rv.xs, rv.pdf, grid)
         )
-        self._resample_memo[key] = (rv, y)
+        if id(rv) in self._rv_ids:
+            self._resample_memo[key] = y
+            self._resample_bytes += y.nbytes
         return y
 
     def _conv_job(self, job: tuple) -> tuple:
@@ -765,6 +779,9 @@ class BatchedGridEngine:
         """Intern/memo pool sizes and fast-policy counters (diagnostics/tests).
 
         ``value_pool`` counts distinct operand *values* seen by the memos;
+        ``resample_bytes`` is the total ``nbytes`` of the arrays held by the
+        resample memo (interned operands only, so it stays bounded by the
+        duration pool rather than growing with every schedule walked);
         ``conv_capped``/``max_capped`` count how often the fast-policy
         budgets actually bound a plan (always 0 in exact mode), and
         ``fft_convs`` how many convolutions dispatched to the FFT kernel.
@@ -774,6 +791,7 @@ class BatchedGridEngine:
             "add_memo": len(self._add_memo),
             "max_memo": len(self._max_memo),
             "resample_memo": len(self._resample_memo),
+            "resample_bytes": self._resample_bytes,
             "value_pool": len(self._value_keys),
             "conv_capped": self._conv_capped,
             "max_capped": self._max_capped,

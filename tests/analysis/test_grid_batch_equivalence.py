@@ -149,6 +149,41 @@ class TestClassicalEquivalence:
         assert eng2.stats["value_pool"] >= 2
 
 
+class TestResampleMemo:
+    """The resample memo holds interned duration operands only."""
+
+    def test_shared_engine_panel_keeps_resample_memo_small(self):
+        w = random_workload(40, 5, rng=15)
+        model = StochasticModel(ul=1.1, grid_n=65)
+        engine = BatchedGridEngine(model)
+        for r in range(8):
+            s = random_schedule(w, rng=r)
+            assert_rv_equal(
+                classical_makespan(s, model, engine=engine),
+                classical_makespan_reference(s, model),
+                f"schedule {r}",
+            )
+        # Retaining every accumulated operand's resample held ~84 MiB here.
+        assert engine.stats["resample_bytes"] < 4 * 2**20
+        interned = {engine._vid(rv) for rv in engine._rv_pool.values()}
+        assert engine._resample_memo
+        assert {key[0] for key in engine._resample_memo} <= interned
+
+    def test_memo_keeps_interned_and_drops_accumulated(self):
+        engine = BatchedGridEngine(StochasticModel(ul=1.1, grid_n=65))
+        a, b = engine.rv(3.0), engine.rv(5.0)
+        (total,) = engine.add_pairs([(a, b)])
+        dx = float(a.xs[1] - a.xs[0]) / 2.0
+        n = 2 * (len(a.xs) - 1) + 1
+        assert engine._operand_grid(a, dx, n) is engine._operand_grid(a, dx, n)
+        before = engine.stats["resample_memo"]
+        n = int((total.xs[-1] - total.xs[0]) / dx) + 1
+        y1 = engine._operand_grid(total, dx, n)
+        y2 = engine._operand_grid(total, dx, n)
+        assert np.array_equal(y1, y2)
+        assert engine.stats["resample_memo"] == before
+
+
 class TestDodinEquivalence:
     @pytest.mark.parametrize("name,w", WORKLOADS, ids=[n for n, _ in WORKLOADS])
     def test_makespan(self, name, w):
