@@ -3,7 +3,7 @@
 Two rows for ``BENCH_core.json``:
 
 * ``service_hit`` — sequential warm-hit latency through the full HTTP
-  stack (socket, admission gate, indexed cache lookup, canonical-JSON
+  stack (socket, admission gate, artifact-path cache lookup, canonical-JSON
   render).  The O(1) claim is asserted, not assumed: after the whole
   batch the cache's directory-``scans`` counter must still read zero.
 * ``service_saturation`` — concurrent clients against a deliberately
@@ -92,7 +92,7 @@ def test_service_hit_latency(
         wall = run_once(benchmark, batch)
         # the O(1) assertion: n warm hits, zero directory scans
         assert service.cache.stats.scans == 0
-        assert service.cache.stats.index_hits == n
+        assert service.cache.stats.hits == n
     per_req = wall / n
     report(
         f"service hit path: {n} sequential warm hits in {wall:.2f}s — "

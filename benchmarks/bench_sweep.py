@@ -4,8 +4,8 @@ Two rows for ``BENCH_core.json``:
 
 * ``sweep_warm`` — a fully-cached sweep streamed end to end through the
   HTTP stack.  The row records cases folded per second; the zero-scan
-  claim is asserted (the warm split resolves every case through the
-  persistent index, never a directory walk).
+  claim is asserted (the warm split stats each case's artifact path,
+  never a directory walk).
 * ``sweep_cold`` — an empty-cache sweep with an in-thread worker behind
   the queue: the row records time-to-first-update, i.e. how long a
   streaming client waits before the first incremental aggregate lands.
@@ -48,7 +48,6 @@ def _serving(tmp_path, *, warm_expr: "str | None" = None):
         cache = ArtifactCache(cache_dir)
         for _ in Campaign(parse(warm_expr).cases(), cache=cache).iter_results():
             pass
-        cache.rebuild_index()
     config = ServiceConfig(
         cache_dir=cache_dir,
         queue_dir=tmp_path / "queue",

@@ -28,7 +28,6 @@ from repro.campaign.backend import (
 from repro.campaign.cache import (
     ArtifactCache,
     CacheAudit,
-    CacheIndex,
     CacheStats,
 )
 from repro.campaign.queue import (
@@ -58,7 +57,6 @@ __all__ = [
     "ArtifactCache",
     "BACKEND_NAMES",
     "CacheAudit",
-    "CacheIndex",
     "CacheStats",
     "Campaign",
     "CampaignCase",

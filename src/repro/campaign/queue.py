@@ -72,7 +72,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.campaign.backend import ProcessPoolBackend
 from repro.campaign.cache import ArtifactCache
@@ -99,6 +99,7 @@ __all__ = [
     "QueueStatus",
     "WorkQueue",
     "WorkerReport",
+    "launch_worker",
     "queue_worker",
 ]
 
@@ -765,9 +766,6 @@ class FaultSpec:
     * ``slow-cache-read:S`` — sleep ``S`` seconds before every cache
       lookup the service performs (not one-shot; exercises per-request
       timeouts);
-    * ``torn-index`` — truncate the cache index file in place right
-      before the service refreshes its snapshot (the reader must degrade
-      to a scan + rebuild, never error);
     * ``backend-hang:S`` — sleep ``S`` seconds inside the first miss
       enqueue (exercises the request deadline / retry path);
     * ``shed-storm:N`` — force the admission gate to shed the next ``N``
@@ -790,7 +788,6 @@ class FaultSpec:
         "corrupt-claim",
         "sleep-case",
         "slow-cache-read",
-        "torn-index",
         "backend-hang",
         "shed-storm",
     )
@@ -904,25 +901,6 @@ class FaultInjector:
             if spec.kind == "slow-cache-read" and spec.seconds > 0:
                 time.sleep(spec.seconds)
 
-    def on_index_refresh(self, index_path: pathlib.Path) -> None:
-        """Seam: the service is about to refresh its cache-index snapshot.
-
-        ``torn-index`` truncates the index file *in place* (deliberately
-        not atomic — it simulates external corruption our own writers can
-        never produce); the reader must degrade to a scan + rebuild.
-        """
-        for spec in self.specs:
-            if spec.kind == "torn-index" and self._fire_once(spec):
-                try:
-                    data = index_path.read_bytes()
-                    # Deliberately in-place truncation: simulates external
-                    # corruption, must NOT be atomic.
-                    index_path.write_bytes(  # reprolint: ignore[RL001]
-                        data[: max(1, len(data) // 2)]
-                    )
-                except OSError:
-                    pass
-
     def on_enqueue(self) -> None:
         """Seam: the service is about to enqueue a cache miss."""
         for spec in self.specs:
@@ -1004,7 +982,6 @@ def queue_worker(
     *,
     force: bool = False,
     reap: bool = True,
-    once: bool = False,
     wait: bool = True,
     forever: bool = False,
     stop: threading.Event | None = None,
@@ -1024,14 +1001,13 @@ def queue_worker(
 
     ``reap`` lets the worker double as a reaper when idle (safe from any
     number of processes), so a coordinatorless fleet still self-heals.
-    ``once`` returns after the first completed task; ``wait=False``
-    returns as soon as nothing is claimable instead of polling until the
-    queue completes; ``forever`` keeps polling even when every enqueued
-    task is done — the service-fleet mode, where new single-case tasks
-    arrive at any time.  ``stop`` requests a graceful exit: the worker
-    finishes (or, mid-shard, releases) its current claim and returns —
-    SIGTERM handlers set it so a drained claim is immediately claimable
-    by the rest of the fleet.  ``injector`` (or, for subprocess workers,
+    ``wait=False`` returns as soon as nothing is claimable instead of
+    polling until the queue completes; ``forever`` keeps polling even
+    when every enqueued task is done — the service-fleet mode, where new
+    single-case tasks arrive at any time.  ``stop`` requests a graceful
+    exit: the worker finishes (or, mid-shard, releases) its current
+    claim and returns — SIGTERM handlers set it so a drained claim is
+    immediately claimable by the rest of the fleet.  ``injector`` (or, for subprocess workers,
     ``REPRO_QUEUE_FAULT`` when ``env_faults``) drives the deterministic
     fault seams.
     """
@@ -1061,12 +1037,8 @@ def queue_worker(
             report.claimed += 1
             if injector is not None:
                 injector.on_claimed(task_id)
-            ok = _run_claimed_task(
-                queue, task_id, cache, force, injector, report, stop
-            )
+            _run_claimed_task(queue, task_id, cache, force, injector, report, stop)
             progressed = True
-            if ok and once:
-                return report
             break  # rescan: the queue may have changed under us
         if progressed:
             continue
@@ -1093,8 +1065,8 @@ def _run_claimed_task(
     injector: FaultInjector | None,
     report: WorkerReport,
     stop: threading.Event | None = None,
-) -> bool:
-    """Execute one claimed shard; True when its partial landed.
+) -> None:
+    """Execute one claimed shard; its partial lands unless the lease is lost.
 
     With ``stop`` set mid-shard the worker aborts after the current case
     and *releases* the claim (no attempt tombstone — a graceful drain is
@@ -1106,7 +1078,7 @@ def _run_claimed_task(
     except (OSError, ValueError, KeyError, TypeError) as exc:
         queue.fail(task_id, f"unreadable manifest: {exc}")
         report.failed += 1
-        return False
+        return
 
     n_done = 0
     heartbeat = _HeartbeatThread(queue, task_id)
@@ -1131,13 +1103,13 @@ def _run_claimed_task(
         if stop is not None and stop.is_set() and not heartbeat.lost:
             queue.release(task_id)  # graceful drain, not a failed attempt
             report.released += 1
-            return False
+            return
         report.lost_lease += 1
-        return False
+        return
     except Exception as exc:  # noqa: BLE001 - a task must not kill the loop
         queue.fail(task_id, f"{type(exc).__name__}: {exc}")
         report.failed += 1
-        return False
+        return
     finally:
         heartbeat.stop()
     if injector is not None:
@@ -1146,12 +1118,64 @@ def _run_claimed_task(
     report.completed += 1
     report.computed += partial.computed
     report.cached += partial.cached
-    return True
 
 
 # ---------------------------------------------------------------------- #
 # the coordinator backend
 # ---------------------------------------------------------------------- #
+
+
+def launch_worker(
+    queue: WorkQueue,
+    cache_root: pathlib.Path,
+    worker_id: str,
+    *,
+    force: bool = False,
+    forever: bool = False,
+) -> tuple[subprocess.Popen, IO[str]]:
+    """Launch one fleet worker through the public ``queue-worker`` CLI.
+
+    Exactly what a remote machine would run, with the queue's lease and
+    retry policy and ``--no-reap`` (the launching coordinator or service
+    owns requeue accounting).  The child inherits the environment, fault
+    specs included, with ``src`` prepended to ``PYTHONPATH``.  Returns
+    the process and its open per-worker log; the caller closes the log
+    once it has reaped the process.
+    """
+    cfg = queue.config
+    cmd = [
+        sys.executable,
+        "-m",
+        "repro.experiments.cli",
+        "campaign",
+        "queue-worker",
+        str(queue.root),
+        "--cache-dir",
+        str(cache_root),
+        "--worker-id",
+        worker_id,
+        "--lease",
+        str(cfg.lease_seconds),
+        "--poll",
+        str(cfg.poll_seconds),
+        "--max-attempts",
+        str(cfg.max_attempts),
+        "--backoff",
+        str(cfg.backoff_seconds),
+        "--no-reap",
+    ]
+    if force:
+        cmd.append("--force")
+    if forever:
+        cmd.append("--forever")
+    src_root = str(pathlib.Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root + os.pathsep + existing if existing else src_root
+    # Diagnostic stream for the worker subprocess, not an artifact.
+    log = open(queue.logs_dir / f"{worker_id}.log", "w")  # reprolint: ignore[RL001]
+    proc = subprocess.Popen(cmd, env=env, stdout=log, stderr=subprocess.STDOUT)
+    return proc, log
 
 
 class QueueBackend:
@@ -1231,47 +1255,6 @@ class QueueBackend:
         self.respawned = 0
 
     # -- helpers ------------------------------------------------------- #
-
-    def _worker_cmd(self, queue: WorkQueue, cache_root: pathlib.Path, wid: str) -> list[str]:
-        """CLI invocation of one fleet worker (the public worker path)."""
-        cfg = queue.config
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "campaign",
-            "queue-worker",
-            str(queue.root),
-            "--cache-dir",
-            str(cache_root),
-            "--worker-id",
-            wid,
-            "--lease",
-            str(cfg.lease_seconds),
-            "--poll",
-            str(cfg.poll_seconds),
-            "--max-attempts",
-            str(cfg.max_attempts),
-            "--backoff",
-            str(cfg.backoff_seconds),
-            "--no-reap",  # the coordinator owns requeue accounting
-        ]
-        if self._force:
-            cmd.append("--force")
-        return cmd
-
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        """Child env with ``src`` importable (fault env inherits through)."""
-        import repro
-
-        src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        return env
 
     def _credit(self, computed: int, cached: int) -> None:
         """Surface worker-side computes/hits into the campaign's stats."""
@@ -1367,8 +1350,7 @@ class QueueBackend:
         drain_landed: Callable[[], Iterator[tuple[int, CampaignCase, CaseResult]]],
     ) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
         """Spawn and babysit the subprocess fleet; yield landing results."""
-        env = self._worker_env()
-        procs: dict[str, tuple[subprocess.Popen, object]] = {}
+        procs: dict[str, tuple[subprocess.Popen, IO[str]]] = {}
         next_id = 0
         respawn_budget = self.jobs * self.config.max_attempts
 
@@ -1376,17 +1358,7 @@ class QueueBackend:
             nonlocal next_id
             wid = f"w{next_id}"
             next_id += 1
-            # Append-style diagnostic stream, not a durable artifact.
-            log = open(queue.logs_dir / f"{wid}.log", "w")  # reprolint: ignore[RL001]
-            procs[wid] = (
-                subprocess.Popen(
-                    self._worker_cmd(queue, cache_root, wid),
-                    env=env,
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                ),
-                log,
-            )
+            procs[wid] = launch_worker(queue, cache_root, wid, force=self._force)
 
         try:
             for _ in range(self.jobs):

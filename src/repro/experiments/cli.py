@@ -102,9 +102,9 @@ queue directory (see :mod:`repro.service`)::
     repro-experiments serve --cache-dir cache/ --workers 2 --port 8080
     curl 'http://127.0.0.1:8080/case?kind=cholesky&param=7&ul=1.1'
 
-Cache hits answer in O(1) via the persistent cache index; misses are
-enqueued as single-case tasks and computed by the worker fleet within a
-per-request deadline.  Overload sheds with 429 + ``Retry-After``;
+Cache hits answer in O(1) from the content-addressed artifact path;
+misses are enqueued as single-case tasks and computed by the worker fleet
+within a per-request deadline.  Overload sheds with 429 + ``Retry-After``;
 ``/healthz`` and ``/stats`` expose liveness and counters.
 
 Case-set sweeps
@@ -498,11 +498,6 @@ def _campaign_main(argv: list[str]) -> int:
         "owns the reaper)",
     )
     p_qworker.add_argument(
-        "--once",
-        action="store_true",
-        help="exit after completing one shard",
-    )
-    p_qworker.add_argument(
         "--no-wait",
         action="store_true",
         help="exit when nothing is claimable instead of polling until the "
@@ -595,13 +590,6 @@ def _campaign_main(argv: list[str]) -> int:
         action="store_true",
         help="audit against the fast-precision-policy variant of the suite",
     )
-    p_verify.add_argument(
-        "--rebuild-index",
-        action="store_true",
-        help="rebuild the cache index by scan when the audit finds it "
-        "stale or incomplete (the index is advisory: lookups stay "
-        "correct either way)",
-    )
 
     args = parser.parse_args(argv)
 
@@ -687,7 +675,6 @@ def _campaign_main(argv: list[str]) -> int:
             worker_id=args.worker_id,
             force=args.force,
             reap=not args.no_reap,
-            once=args.once,
             wait=not args.no_wait,
             forever=args.forever,
             stop=stop,
@@ -799,16 +786,6 @@ def _campaign_main(argv: list[str]) -> int:
         print(f"  orphan:  {path.name} ({reason})")
     for path in audit.stale_temp:
         print(f"  stale:   {path.name}")
-    for key, reason in audit.index_stale:
-        print(f"  index-stale: {key[:12]} ({reason})")
-    for path in audit.unindexed:
-        print(f"  unindexed: {path.name}")
-    if not audit.index_consistent and args.rebuild_index:
-        index = cache.rebuild_index()
-        print(
-            f"[index rebuilt: generation {index.generation}, "
-            f"{len(index.entries)} entries]"
-        )
     return 0 if audit.ok else 1
 
 

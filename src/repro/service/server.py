@@ -2,17 +2,17 @@
 
 A long-lived, stdlib-only (:class:`http.server.ThreadingHTTPServer`)
 query service over the campaign stack: ``GET /case?...`` answers from the
-:class:`~repro.campaign.cache.ArtifactCache` in O(1) via the persistent
-cache index, enqueues misses onto the :class:`~repro.campaign.queue`
-fleet as single-case tasks, and degrades — never corrupts — under every
-failure mode the stack can produce.
+:class:`~repro.campaign.cache.ArtifactCache` in O(1) (the artifact path
+is a pure function of the case), enqueues misses onto the
+:class:`~repro.campaign.queue` fleet as single-case tasks, and degrades —
+never corrupts — under every failure mode the stack can produce.
 
 Request lifecycle (the state machine ``docs/architecture.md`` draws)::
 
     parse ──400──▶ rejected (bad query)
       │ admission gate ──429──▶ shed (Retry-After)
       ▼
-    cache lookup (index-first, O(1)) ──hit──▶ 200 (source=hit)
+    cache lookup (one path read, O(1)) ──hit──▶ 200 (source=hit)
       │ miss
       ▼
     enqueue case task (retry w/ backoff) ──retries exhausted──▶ 503
@@ -32,8 +32,8 @@ bytes on the wire.
 Degradation ladder (every rung structured, none hangs): 400 bad query →
 429 shed with ``Retry-After`` → 503 backend unavailable → 504 deadline
 (the work keeps cooking) → 502 poisoned (the work is known-bad).  A
-corrupt or torn cache index never surfaces at all: the cache degrades to
-a directory probe/scan and rebuilds the index in the background.
+corrupt artifact never surfaces at all: the cache treats it as a miss and
+the fleet recomputes it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import os
 import pathlib
 import signal
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,9 +53,9 @@ from repro.campaign.aggregate import SuiteAggregator, suite_aggregate_to_payload
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.queue import (
     FaultInjector,
-    QueueBackend,
     QueueConfig,
     WorkQueue,
+    launch_worker,
 )
 from repro.campaign.spec import CampaignCase
 from repro.caseset import CaseSetError
@@ -229,7 +228,7 @@ class RobustnessService:
     ) -> tuple[int, dict[str, str], dict]:
         """Serve one ``/case`` query; returns (status, headers, payload).
 
-        Implements the full lifecycle: parse → admit → indexed lookup →
+        Implements the full lifecycle: parse → admit → cache lookup →
         miss dispatch → poll; every exit is a structured JSON payload.
         """
         self._count(requests=1)
@@ -254,12 +253,11 @@ class RobustnessService:
             )
 
     def _serve_case(self, case: CampaignCase) -> tuple[int, dict[str, str], dict]:
-        """Admitted path: indexed lookup, then the miss state machine."""
+        """Admitted path: cache lookup, then the miss state machine."""
         deadline = time.monotonic() + self.config.deadline_seconds
         if self.injector is not None:
             self.injector.on_cache_read()
-            self.injector.on_index_refresh(self.cache.index_path)
-        result = None if self.config.force else self.cache.lookup(case)
+        result = None if self.config.force else self.cache.load(case)
         if result is not None:
             self._count(hits=1)
             return 200, {}, self._ok_payload(case, result, "hit")
@@ -278,7 +276,7 @@ class RobustnessService:
         artifact = self.cache.path_for(case)
         while time.monotonic() < deadline and not self.stop_event.is_set():
             if artifact.exists():
-                result = self.cache.lookup(case)
+                result = self.cache.load(case)
                 if result is not None:
                     self._count(computed=1)
                     return 200, {}, self._ok_payload(case, result, "miss")
@@ -389,7 +387,7 @@ class RobustnessService:
     ) -> "Iterator[tuple[str, dict]]":
         """Yield the sweep's event sequence: start → update* → done|error.
 
-        The warm/cold split probes the cache index (O(1) per case, zero
+        The warm/cold split stats each artifact path (O(1) per case, zero
         directory scans); the cold subset is enqueued on the fleet, then
         the loop folds artifacts into a :class:`SuiteAggregator` in
         strict case order — each ``update`` aggregates exactly the
@@ -406,7 +404,6 @@ class RobustnessService:
         deadline = time.monotonic() + cfg.sweep_deadline_seconds
         if self.injector is not None:
             self.injector.on_cache_read()
-            self.injector.on_index_refresh(self.cache.index_path)
         warm = (
             set()
             if cfg.force
@@ -449,7 +446,7 @@ class RobustnessService:
             while done < total:
                 case = cases[done]
                 result = (
-                    self.cache.lookup(case)
+                    self.cache.load(case)
                     if self.cache.path_for(case).exists()
                     else None
                 )
@@ -562,10 +559,6 @@ class RobustnessService:
                     "stores": cache_stats.stores,
                     "corrupt": cache_stats.corrupt,
                     "scans": cache_stats.scans,
-                    "index_hits": cache_stats.index_hits,
-                    "index_fallbacks": cache_stats.index_fallbacks,
-                    "index_corrupt": cache_stats.index_corrupt,
-                    "index_rebuilds": cache_stats.index_rebuilds,
                 },
                 "queue": self.queue.status().__dict__,
                 "fleet": self.fleet_size(),
@@ -583,43 +576,17 @@ class RobustnessService:
 
     def _spawn_worker(self) -> None:
         """Launch one ``--forever`` fleet worker through the public CLI."""
-        cfg = self.config.queue
         wid = f"svc{self._next_worker}"
         self._next_worker += 1
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "campaign",
-            "queue-worker",
-            str(self.queue.root),
-            "--cache-dir",
-            str(self.cache.root),
-            "--worker-id",
+        worker = launch_worker(
+            self.queue,
+            self.cache.root,
             wid,
-            "--lease",
-            str(cfg.lease_seconds),
-            "--poll",
-            str(cfg.poll_seconds),
-            "--max-attempts",
-            str(cfg.max_attempts),
-            "--backoff",
-            str(cfg.backoff_seconds),
-            "--no-reap",
-            "--forever",
-        ]
-        if self.config.force:
-            cmd.append("--force")
-        # Diagnostic stream for the worker subprocess, not an artifact.
-        log = open(self.queue.logs_dir / f"{wid}.log", "w")  # reprolint: ignore[RL001]
-        proc = subprocess.Popen(
-            cmd,
-            env=QueueBackend._worker_env(),
-            stdout=log,
-            stderr=subprocess.STDOUT,
+            force=self.config.force,
+            forever=True,
         )
         with self._fleet_lock:
-            self._fleet[wid] = (proc, log)
+            self._fleet[wid] = worker
 
     def start_fleet(self) -> None:
         """Spawn the configured workers and the janitor thread."""

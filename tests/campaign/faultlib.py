@@ -15,10 +15,9 @@ Fault kinds (see :class:`repro.campaign.queue.FaultSpec`):
 * ``corrupt-claim``   — overwrite the worker's own claim with garbage;
 * ``sleep-case:S``    — pace case completion (makes lease timing
   deterministic in the tests above);
-* ``slow-cache-read:S`` / ``torn-index`` / ``backend-hang:S`` /
-  ``shed-storm:N`` — service-scoped faults fired at the
-  :mod:`repro.service` seams (cache lookup, index refresh, miss
-  enqueue, admission).
+* ``slow-cache-read:S`` / ``backend-hang:S`` / ``shed-storm:N`` —
+  service-scoped faults fired at the :mod:`repro.service` seams (cache
+  lookup, miss enqueue, admission).
 
 Every one-shot fault burns a marker file under the queue's ``faults/``
 directory, so a test can assert the fault actually *fired* — a fault test

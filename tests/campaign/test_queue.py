@@ -19,7 +19,7 @@ from repro.campaign import (
     queue_worker,
     run_shard,
 )
-from repro.campaign.queue import FaultSpec
+from repro.campaign.queue import FaultSpec, launch_worker
 from repro.io.json_io import case_result_to_json
 
 from tests.campaign.faultlib import make_injector
@@ -383,6 +383,42 @@ class TestQueueWorker:
         )
         assert report.failed >= 1
         assert queue.attempts(task) >= 1
+
+
+class TestLaunchWorker:
+    """The one subprocess launcher behind the backend and service fleets."""
+
+    def test_worker_drains_the_queue_and_logs(self, tmp_path):
+        queue, _ = _enqueued(tmp_path, n_shards=2)
+        proc, log = launch_worker(queue, tmp_path / "cache", "w0", force=True)
+        try:
+            assert proc.wait(timeout=300) == 0
+        finally:
+            log.close()
+        assert {"--no-reap", "--force"} <= set(proc.args)
+        assert "--forever" not in proc.args
+        assert queue.is_complete()
+        assert "[queue-worker on" in (queue.logs_dir / "w0.log").read_text()
+
+    def test_forever_worker_outlives_a_complete_queue(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q", FAST).init()
+        proc, log = launch_worker(queue, tmp_path / "cache", "svc0", forever=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            log_path = queue.logs_dir / "svc0.log"
+            while "ready]" not in log_path.read_text():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            time.sleep(5 * FAST.poll_seconds)
+            assert proc.poll() is None  # still polling for new tasks
+            proc.terminate()
+            assert proc.wait(timeout=30) == 0  # drained, nothing left open
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            log.close()
+        assert "--forever" in proc.args and "--force" not in proc.args
 
 
 class TestQueueBackend:

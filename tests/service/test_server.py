@@ -2,7 +2,7 @@
 
 Each test binds a real :class:`ThreadingHTTPServer` on an ephemeral port
 (``port=0``) and drives it with stdlib ``urllib`` clients, so the full
-stack — HTTP skin, admission gate, indexed cache, queue dispatch — is
+stack — HTTP skin, admission gate, artifact cache, queue dispatch — is
 exercised exactly as production traffic would.  The two invariants every
 test circles back to:
 
@@ -164,7 +164,7 @@ class TestHitPath:
             assert_identical(body, hit_case, hit_result)
             # the O(1) assertion: a warm hit does zero directory scans
             assert service.cache.stats.scans == 0
-            assert service.cache.stats.index_hits == 1
+            assert service.cache.stats.hits == 1
             assert service.stats.hits == 1
 
     def test_repeated_hits_stay_scan_free(
@@ -177,7 +177,26 @@ class TestHitPath:
                 status, _, body = get(service, f"/case?{qs(HIT)}")
                 assert status == 200 and body["source"] == "hit"
             assert service.cache.stats.scans == 0
-            assert service.cache.stats.index_hits == 5
+            assert service.cache.stats.hits == 5
+
+    def test_torn_leftover_index_file_never_surfaces(
+        self, tmp_path, hit_case, hit_result
+    ):
+        # Caches written before the index was removed may hold a
+        # ``cache.index`` file, possibly torn; lookups never read it.
+        config = _config(tmp_path)
+        ArtifactCache(config.cache_dir).store(hit_case, hit_result)
+        leftover = config.cache_dir / "cache.index"
+        leftover.write_text('{"entries": {"%s": {"fi' % hit_case.key)
+        with serving(config) as service:
+            for _ in range(2):
+                status, _, body = get(service, f"/case?{qs(HIT)}")
+                assert status == 200 and body["source"] == "hit"
+                assert_identical(body, hit_case, hit_result)
+            assert service.cache.stats.scans == 0
+            assert service.cache.stats.hits == 2
+            assert service.cache.stats.corrupt == 0
+        assert leftover.read_text().endswith('"fi')  # never rewritten
 
 
 class TestErrorSurface:
@@ -304,27 +323,6 @@ class TestFaultInjection:
             assert status == 200
             assert_identical(body, hit_case, hit_result)
 
-    def test_torn_index_degrades_to_probe_not_error(
-        self, tmp_path, hit_case, hit_result, monkeypatch
-    ):
-        config = _config(tmp_path)
-        warm = ArtifactCache(config.cache_dir)
-        warm.store(hit_case, hit_result)
-        assert warm.index_path.exists()
-        monkeypatch.setenv("REPRO_QUEUE_FAULT", "torn-index")
-        with serving(config) as service:
-            status, _, body = get(service, f"/case?{qs(HIT)}")
-            assert status == 200  # the tear never surfaces
-            assert body["source"] == "hit"
-            assert_identical(body, hit_case, hit_result)
-            assert "torn-index" in fired_markers(service.queue)
-            assert service.cache.stats.index_corrupt >= 1
-            # the fallback repaired the index: next hit is index-resolved
-            hits_before = service.cache.stats.index_hits
-            status, _, _ = get(service, f"/case?{qs(HIT)}")
-            assert status == 200
-            assert service.cache.stats.index_hits == hits_before + 1
-
     def test_backend_hang_delays_dispatch_but_serves(
         self, tmp_path, miss_case, miss_result, monkeypatch
     ):
@@ -364,7 +362,8 @@ class TestOps:
             assert body["service"]["requests"] == 1
             assert body["service"]["hits"] == 1
             assert body["cache"]["scans"] == 0
-            assert body["cache"]["index_hits"] == 1
+            assert body["cache"]["hits"] == 1
+            assert not any(k.startswith("index") for k in body["cache"])
             assert body["admission"]["admitted"] == 1
             assert "open" in body["queue"]
             assert isinstance(body["summary"], str)
